@@ -186,7 +186,7 @@ class SloWatchdog {
     std::string detail; ///< "availability 0.95 < 0.99 (n=40, 1m)" on burn.
   };
   /// Evaluates every target now, latches burn/recovery edges, emits the
-  /// burn-edge telemetry. Call once per window tick (the serve pump loop
+  /// burn-edge telemetry. Call once per window tick (the serve accept loop
   /// does); /healthz stays correct without it.
   std::vector<Evaluation> Tick();
 

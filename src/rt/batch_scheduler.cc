@@ -198,16 +198,24 @@ void BatchScheduler::Flush() {
       response.batch_size = static_cast<int32_t>(tables.size());
     }
     const ResponseStatus status = response.status;
-    const bool emit = !q.request.caller_owns_event &&
-                      (obs::EventLog::Enabled() || obs::SliEngine::Enabled());
+    // Unless a front-end took ownership (caller_owns_event), the scheduler
+    // is this request's terminal layer: it records the SLI sample before
+    // `done`, so whoever the callback wakes already sees it, and appends
+    // the wide event after, with the callback as its reply tail.
+    const bool emit = !q.request.caller_owns_event;
     const auto deliver_tp = std::chrono::steady_clock::now();
+    if (emit) {
+      obs::SliEngine::Get().Record(
+          TaskKindName(q.request.task),
+          obs::OutcomeFromStatusName(ResponseStatusName(status)),
+          std::chrono::duration<double, std::milli>(deliver_tp - q.enqueue_tp)
+              .count(),
+          q.trace.trace_id);
+    }
     if (q.request.done) q.request.done(std::move(response));
     // Close scheduler-owned roots (no-op for caller-owned or untraced).
     if (q.root.traced()) obs::Tracer::Get().End(&q.root);
-    if (emit) {
-      // The scheduler is this request's terminal layer (no front-end took
-      // ownership via caller_owns_event), so it reports the wide event and
-      // the SLI sample.
+    if (emit && obs::EventLog::Enabled()) {
       const auto now_tp = std::chrono::steady_clock::now();
       obs::WideEvent event;
       event.origin = "rt";
@@ -231,10 +239,7 @@ void BatchScheduler::Flush() {
       if (q.request.deadline_ms > 0.0) {
         event.deadline_budget_ms = q.request.deadline_ms - q.enqueue_ms;
       }
-      if (obs::EventLog::Enabled()) obs::EventLog::Get().Append(event);
-      obs::SliEngine::Get().Record(event.task,
-                                   obs::OutcomeFromStatusName(event.status),
-                                   event.total_us / 1000.0, event.trace_id);
+      obs::EventLog::Get().Append(event);
     }
   }
 }

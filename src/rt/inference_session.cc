@@ -57,7 +57,10 @@ nn::Tensor InferenceSession::Encode(const core::EncodedTable& table) const {
   EncodeCounter()->Inc();
   // Inference forward: dropout is inactive, so no Rng is consumed and the
   // result is a pure function of (table, weights) — see the class contract.
-  return model_.Encode(table, /*training=*/false, /*rng=*/nullptr);
+  // Detach() frees the forward graph here, on the compute thread, so its
+  // pooled buffers return to this thread's arena cache (which the next
+  // forward leases from) rather than to whichever thread drops the result.
+  return model_.Encode(table, /*training=*/false, /*rng=*/nullptr).Detach();
 }
 
 std::vector<nn::Tensor> InferenceSession::EncodeBatch(

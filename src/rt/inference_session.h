@@ -62,7 +62,8 @@ class InferenceSession {
   Rng* worker_rng() const;
 
   /// One inference forward: contextualized representations
-  /// [table.total(), d_model] (see TurlModel::Encode).
+  /// [table.total(), d_model] (see TurlModel::Encode), detached from the
+  /// autograd graph (a constant with no parents).
   nn::Tensor Encode(const core::EncodedTable& table) const;
 
   /// Encodes every table across the pool; result i corresponds to tables[i].

@@ -93,7 +93,6 @@ ServeServer::ServeServer(const core::TurlModel& model, ServeOptions options)
   TURL_CHECK_GT(options_.num_io_workers, 0);
   TURL_CHECK_GT(options_.max_queued_connections, 0);
   TURL_CHECK_GE(options_.max_inflight_requests, 0);
-  TURL_CHECK_GT(options_.pump_interval_ms, 0);
 }
 
 ServeServer::~ServeServer() { Stop(); }
@@ -151,12 +150,13 @@ Status ServeServer::Start() {
         std::make_unique<rt::InferenceSession>(model_, options_.session);
     replica->scheduler = std::make_unique<rt::BatchScheduler>(
         replica->session.get(), options_.batch);
+    replica->dispatcher =
+        std::thread([this, r = replica.get()] { DispatchLoop(r); });
     replicas_.push_back(std::move(replica));
   }
 
   stopping_.store(false, std::memory_order_release);
   hard_stop_.store(false, std::memory_order_release);
-  pump_stop_.store(false, std::memory_order_release);
   exited_workers_ = 0;
   pending_.clear();
   in_flight_fds_.assign(static_cast<size_t>(options_.num_io_workers), -1);
@@ -165,7 +165,6 @@ Status ServeServer::Start() {
   running_.store(true, std::memory_order_release);
 
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  pump_thread_ = std::thread([this] { PumpLoop(); });
   workers_.reserve(static_cast<size_t>(options_.num_io_workers));
   for (int i = 0; i < options_.num_io_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -222,7 +221,7 @@ void ServeServer::Stop() {
   listen_fd_ = -1;
 
   // 2. Graceful drain: workers notice stopping_ at their next idle poll,
-  // finish the frame in flight (the pump thread is still alive, so every
+  // finish the frame in flight (the dispatchers are still alive, so every
   // submitted request gets its response) and exit.
   work_cv_.notify_all();
   bool drained;
@@ -253,19 +252,34 @@ void ServeServer::Stop() {
   for (int fd : pending_) ::close(fd);
   pending_.clear();
 
-  // The pump stops only after every worker is gone — a worker blocked on
-  // its future needs the pump to flush that replica. Final Flush()es run in
-  // the scheduler destructors on empty queues.
-  pump_stop_.store(true, std::memory_order_release);
-  pump_thread_.join();
+  // Dispatchers stop only after every worker is gone — a worker blocked on
+  // its future needs its replica's dispatcher to flush — and each one
+  // drains its queue before it exits.
+  for (auto& replica : replicas_) {
+    {
+      std::lock_guard<std::mutex> lock(replica->mu);
+      replica->stop = true;
+    }
+    replica->ready.notify_one();
+    replica->dispatcher.join();
+  }
   replicas_.clear();
   inflight_.store(0, std::memory_order_relaxed);
   InflightGauge()->Set(0.0);
 }
 
 void ServeServer::AcceptLoop() {
+  // The accept loop doubles as the SLO window tick: about once a second it
+  // latches burn edges (and their one-shot telemetry). /healthz stays
+  // correct without the tick — probes re-evaluate on every scrape.
+  auto next_tick = std::chrono::steady_clock::now();
   for (;;) {
     if (stopping_.load(std::memory_order_acquire)) return;
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= next_tick) {
+      next_tick = now + std::chrono::seconds(1);
+      obs::SloWatchdog::Get().Tick();
+    }
     struct pollfd pfd;
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
@@ -350,23 +364,17 @@ void ServeServer::WorkerLoop(int worker_index) {
   drained_cv_.notify_all();
 }
 
-void ServeServer::PumpLoop() {
-  // The pump doubles as the SLO window tick: roughly once per bucket second
-  // it latches burn edges (and their one-shot telemetry). /healthz stays
-  // correct without the tick — probes re-evaluate on every scrape.
-  double since_tick_ms = 0.0;
-  while (!pump_stop_.load(std::memory_order_acquire)) {
-    for (auto& replica : replicas_) {
-      std::lock_guard<std::mutex> lock(replica->mu);
-      replica->scheduler->Pump();
-    }
-    since_tick_ms += options_.pump_interval_ms;
-    if (since_tick_ms >= 1000.0) {
-      since_tick_ms = 0.0;
-      obs::SloWatchdog::Get().Tick();
-    }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.pump_interval_ms));
+void ServeServer::DispatchLoop(Replica* replica) {
+  // Continuous batching: an idle replica runs what is queued at once;
+  // submissions made while a batch encodes wait on `mu` and leave together
+  // as the next batch.
+  std::unique_lock<std::mutex> lock(replica->mu);
+  for (;;) {
+    replica->ready.wait(lock, [replica] {
+      return replica->stop || replica->scheduler->pending() > 0;
+    });
+    if (replica->scheduler->pending() == 0) return;  // Stopped and drained.
+    replica->scheduler->Flush();
   }
 }
 
@@ -437,21 +445,29 @@ bool ServeServer::ServeOneFrame(int fd) {
   const double start_ms = rt::BatchScheduler::NowMs();
 
   // The request's wide event, filled in as the frame progresses; every
-  // terminal path below stamps a status and emits exactly one event (the
+  // terminal path below ends in finish() and emits exactly one event (the
   // scheduler stays quiet — caller_owns_event).
   obs::WideEvent event;
   event.origin = "serve";
   event.task = "unknown";  // Until the header names a valid task.
   event.bytes_in = static_cast<int64_t>(sizeof(header));
-  const auto finish_event = [&](rt::ResponseStatus status) {
-    if (!obs::EventLog::Enabled() && !obs::SliEngine::Enabled()) return;
-    event.status = rt::ResponseStatusName(status);
-    event.end_ms = rt::BatchScheduler::NowMs();
-    event.total_us = (event.end_ms - start_ms) * 1000.0;
-    if (obs::EventLog::Enabled()) obs::EventLog::Get().Append(event);
+  WireResponse response;
+  // Records the SLI sample *before* the reply leaves — a client that reads
+  // its reply and then scrapes /healthz must see it — then writes the reply
+  // (unless `send` is false) and appends the wide event, reply_us being the
+  // measured write tail. Returns whether the reply was written.
+  const auto finish = [&](bool send = true) {
+    event.status = rt::ResponseStatusName(response.status);
+    const double reply_start_ms = rt::BatchScheduler::NowMs();
     obs::SliEngine::Get().Record(event.task,
                                  obs::OutcomeFromStatusName(event.status),
-                                 event.total_us / 1000.0, event.trace_id);
+                                 reply_start_ms - start_ms, event.trace_id);
+    const bool written = send && WriteResponse(fd, response, &event.bytes_out);
+    event.end_ms = rt::BatchScheduler::NowMs();
+    event.reply_us = (event.end_ms - reply_start_ms) * 1000.0;
+    event.total_us = (event.end_ms - start_ms) * 1000.0;
+    if (obs::EventLog::Enabled()) obs::EventLog::Get().Append(event);
+    return written;
   };
 
   RequestHeader request_header;
@@ -463,11 +479,9 @@ bool ServeServer::ServeOneFrame(int fd) {
     // payload, and resynchronizing a framed stream after garbage is
     // guesswork.
     BadFrameCounter()->Inc();
-    WireResponse response;
     response.status = rt::ResponseStatus::kBadRequest;
     response.message = parsed.ToString();
-    WriteResponse(fd, response, &event.bytes_out);
-    finish_event(rt::ResponseStatus::kBadRequest);
+    finish();
     return false;
   }
   event.task = rt::TaskKindName(request_header.task);
@@ -477,12 +491,11 @@ bool ServeServer::ServeOneFrame(int fd) {
   if (request_header.payload_len > 0 &&
       !ReadFull(fd, payload.data(), payload.size())) {
     BadFrameCounter()->Inc();
-    finish_event(rt::ResponseStatus::kBadRequest);
+    response.status = rt::ResponseStatus::kBadRequest;
+    finish(/*send=*/false);
     return false;  // Truncated payload: peer hung up or stalled past timeout.
   }
   event.bytes_in += static_cast<int64_t>(payload.size());
-
-  WireResponse response;
   response.request_id = request_header.request_id;
 
   core::EncodedTable table;
@@ -492,8 +505,7 @@ bool ServeServer::ServeOneFrame(int fd) {
     BadFrameCounter()->Inc();
     response.status = rt::ResponseStatus::kBadRequest;
     response.message = decoded.ok() ? "empty table" : decoded.ToString();
-    WriteResponse(fd, response, &event.bytes_out);
-    finish_event(rt::ResponseStatus::kBadRequest);
+    finish();
     return false;
   }
   RequestCounter()->Inc();
@@ -504,8 +516,7 @@ bool ServeServer::ServeOneFrame(int fd) {
     // drain converge.
     response.status = rt::ResponseStatus::kShuttingDown;
     response.message = "server draining";
-    WriteResponse(fd, response, &event.bytes_out);
-    finish_event(rt::ResponseStatus::kShuttingDown);
+    finish();
     return false;
   }
 
@@ -518,9 +529,7 @@ bool ServeServer::ServeOneFrame(int fd) {
     ShedCounter()->Inc();
     response.status = rt::ResponseStatus::kOverloaded;
     response.message = "overloaded: inflight request cap";
-    const bool written = WriteResponse(fd, response, &event.bytes_out);
-    finish_event(rt::ResponseStatus::kOverloaded);
-    return written;
+    return finish();
   }
   InflightGauge()->Set(
       static_cast<double>(inflight_.load(std::memory_order_relaxed)));
@@ -537,9 +546,7 @@ bool ServeServer::ServeOneFrame(int fd) {
       DeadlineMissedCounter()->Inc();
       response.status = rt::ResponseStatus::kDeadlineExceeded;
       response.message = "deadline expired on arrival";
-      const bool written = WriteResponse(fd, response, &event.bytes_out);
-      finish_event(rt::ResponseStatus::kDeadlineExceeded);
-      return written;
+      return finish();
     }
   }
 
@@ -577,12 +584,13 @@ bool ServeServer::ServeOneFrame(int fd) {
   request.done = [&promise](rt::Response r) { promise.set_value(std::move(r)); };
   {
     // The replica mutex is BatchScheduler's external serialization: many IO
-    // workers submit, the pump thread flushes, one at a time. An eager
+    // workers submit, the dispatcher flushes, one at a time. An eager
     // (size/budget) flush runs inline here under the lock; the completion
     // then lands before wait() even starts.
     std::lock_guard<std::mutex> lock(replica.mu);
     replica.scheduler->Submit(std::move(request));
   }
+  replica.ready.notify_one();
   rt::Response result = future.get();
 
   replica.inflight_cost.fetch_sub(cost, std::memory_order_relaxed);
@@ -616,10 +624,7 @@ bool ServeServer::ServeOneFrame(int fd) {
 
   LatencyHistogram(request_header.task)
       ->Observe(rt::BatchScheduler::NowMs() - start_ms);
-  const double reply_start_ms = rt::BatchScheduler::NowMs();
-  const bool written = WriteResponse(fd, response, &event.bytes_out);
-  event.reply_us = (rt::BatchScheduler::NowMs() - reply_start_ms) * 1000.0;
-  finish_event(response.status);
+  const bool written = finish();
   if (root.traced()) obs::Tracer::Get().End(&root);
   return written;
 }

@@ -52,7 +52,10 @@ struct ServeOptions {
   /// Poll tick between frames on an idle connection; bounds how long a
   /// worker takes to notice Stop().
   int idle_poll_ms = 50;
-  /// Cadence of the age-based flush thread driving BatchScheduler::Pump.
+  /// Not read by the server: each replica's dispatcher runs its queue as
+  /// soon as the replica is idle, with no age flush. Kept for the
+  /// benchmark's scheduler replay (turlbench/serve_workload.cc), which
+  /// still models the old age-flush pump.
   int pump_interval_ms = 2;
   /// Stop(): grace period for in-flight requests before their sockets are
   /// forcibly shut down.
@@ -61,7 +64,8 @@ struct ServeOptions {
   uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
   /// Per-replica session knobs (threads per replica, scratch seed).
   rt::SessionOptions session;
-  /// Per-replica micro-batching policy.
+  /// Per-replica micro-batching caps (max_batch_tables, max_batch_budget);
+  /// max_age_ms is not read, since replicas never wait to fill a batch.
   rt::BatchSchedulerOptions batch;
   /// SLO targets registered with the global SloWatchdog for the server's
   /// lifetime (each becomes a `slo.<name>` probe on /healthz). Empty
@@ -78,10 +82,11 @@ struct ServeOptions {
 ///
 /// Replica dispatch: each replica is one InferenceSession + BatchScheduler
 /// pair guarded by a mutex; a decoded request goes to the replica with the
-/// least in-flight token cost (ties broken round-robin), is submitted under
-/// the replica lock, and micro-batches with whatever else that replica has
-/// queued. A pump thread gives every replica an age-based flush so a lone
-/// request never waits longer than batch.max_age_ms.
+/// least in-flight token cost (ties broken round-robin) and is submitted
+/// under the replica lock. Each replica has a dispatcher thread that runs
+/// its queue as soon as the replica is idle (continuous batching): a lone
+/// request is encoded at once, and requests that arrive while a batch
+/// encodes queue behind it and leave together as the next batch.
 ///
 /// Admission control and backpressure: connections beyond the accept queue
 /// are shed with an OVERLOADED frame at accept; decoded requests beyond
@@ -96,10 +101,11 @@ struct ServeOptions {
 /// result that arrives too late is replaced by kDeadlineExceeded).
 ///
 /// Shutdown mirrors obs::server::Stop(): (1) stop accepting, (2) graceful
-/// drain — workers finish the frame in flight, replicas flush, every
-/// accepted request is answered — bounded by drain_deadline_ms, (3) hard
-/// deadline: remaining connection sockets are shut down. In-flight
-/// requests admitted before Stop() are completed, not dropped.
+/// drain — workers finish the frame in flight, the dispatchers (which
+/// outlive the workers) flush, every accepted request is answered — bounded
+/// by drain_deadline_ms, (3) hard deadline: remaining connection sockets
+/// are shut down. In-flight requests admitted before Stop() are completed,
+/// not dropped.
 class ServeServer {
  public:
   /// The model must outlive the server. Replicas share the const model (an
@@ -110,8 +116,9 @@ class ServeServer {
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  /// Binds, listens, warms the replicas and spawns accept + IO + pump
-  /// threads. Fails without leaking if the address cannot be bound.
+  /// Binds, listens, warms the replicas and spawns accept, IO and
+  /// per-replica dispatcher threads. Fails without leaking if the address
+  /// cannot be bound.
   Status Start();
 
   /// Three-step graceful shutdown (see class comment). Idempotent; Start()
@@ -134,18 +141,24 @@ class ServeServer {
 
  private:
   /// One model replica: a session + scheduler pair behind a mutex. mu
-  /// serializes Submit/Pump/Flush (BatchScheduler's single-threaded
-  /// discipline); inflight_cost is the dispatcher's load signal.
+  /// serializes Submit/Flush (BatchScheduler's single-threaded discipline)
+  /// and guards `stop`; `ready` wakes the dispatcher when a request is
+  /// queued or stop is set; inflight_cost is PickReplica's load signal.
   struct Replica {
     std::unique_ptr<rt::InferenceSession> session;
     std::unique_ptr<rt::BatchScheduler> scheduler;
     std::mutex mu;
+    std::condition_variable ready;
+    bool stop = false;
+    std::thread dispatcher;
     std::atomic<int64_t> inflight_cost{0};
   };
 
   void AcceptLoop();
   void WorkerLoop(int worker_index);
-  void PumpLoop();
+  /// Flushes the replica's queue whenever it is non-empty; exits once stop
+  /// is set and the queue is empty.
+  void DispatchLoop(Replica* replica);
   void ServeConnection(int fd);
   /// Reads, decodes, runs and answers one frame. False when the connection
   /// must close (EOF, malformed frame, write failure).
@@ -170,12 +183,8 @@ class ServeServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> hard_stop_{false};
-  /// Separate from stopping_: the pump must outlive the worker drain (a
-  /// worker blocked on its future needs the pump to flush that replica).
-  std::atomic<bool> pump_stop_{false};
 
   std::thread accept_thread_;
-  std::thread pump_thread_;
   std::vector<std::thread> workers_;
 
   mutable std::mutex mu_;

@@ -130,6 +130,21 @@ TEST(InferenceSessionTest, EncodeMatchesModelEncode) {
             Model().Encode(t, /*training=*/false).ToVector());
 }
 
+TEST(InferenceSessionTest, EncodeReturnsDetachedTensor) {
+  // The forward graph is freed inside Encode, on the compute thread; the
+  // result is a constant with the model's exact values.
+  InferenceSession session(Model(), SessionOptions{.num_threads = 2});
+  for (const nn::Tensor& hidden : session.EncodeBatch(Workload())) {
+    EXPECT_TRUE(hidden.impl()->parents.empty());
+    EXPECT_FALSE(hidden.impl()->backward_fn);
+  }
+  const core::EncodedTable& t = Workload()[0];
+  const nn::Tensor hidden = session.Encode(t);
+  EXPECT_TRUE(hidden.impl()->parents.empty());
+  EXPECT_EQ(hidden.ToVector(),
+            Model().Encode(t, /*training=*/false).ToVector());
+}
+
 TEST(InferenceSessionTest, MapIsDeterministicByIndex) {
   InferenceSession session(Model(), SessionOptions{.num_threads = 4});
   std::vector<int> out = session.Map<int>(

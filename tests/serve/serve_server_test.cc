@@ -2,9 +2,12 @@
 // round-trip correctness against the session oracle, multi-replica fan-out
 // under concurrent clients, request- and connection-level shedding with
 // OVERLOADED, wire-deadline enforcement, malformed frames failing the
-// connection without hurting the server, readiness probe coverage, and the
-// graceful drain completing in-flight requests.
+// connection without hurting the server, readiness probe coverage, the
+// graceful drain completing in-flight requests, and continuous batching (an
+// idle replica dispatches at once; a burst batches what queued meanwhile).
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -15,6 +18,7 @@
 #include "core/model.h"
 #include "core/table_encoding.h"
 #include "gtest/gtest.h"
+#include "obs/eventlog.h"
 #include "obs/server/handlers.h"
 #include "rt/inference_session.h"
 #include "serve/client.h"
@@ -77,9 +81,44 @@ ServeOptions FastOptions() {
   options.port = 0;
   options.num_replicas = 1;
   options.session.num_threads = 1;
-  options.batch.max_age_ms = 1.0;
-  options.pump_interval_ms = 1;
   return options;
+}
+
+/// Opens `num_clients` connections, starts them together, and has each make
+/// `calls` encode calls. Returns, per client, the calls that failed, came
+/// back with another status or id, or differ from the oracle.
+std::vector<int> ConcurrentCalls(const ServeServer& server,
+                                 const std::vector<core::EncodedTable>& tables,
+                                 int num_clients, int calls) {
+  std::vector<int> failures(size_t(num_clients), 0);
+  std::atomic<int> connected{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < num_clients; ++c) {
+    clients.emplace_back([&, c] {
+      ServeClient client;
+      const bool ok = client.Connect("127.0.0.1", server.port()).ok();
+      connected.fetch_add(1);
+      while (connected.load() < num_clients) std::this_thread::yield();
+      if (!ok) {
+        failures[size_t(c)] = calls;
+        return;
+      }
+      for (int call = 0; call < calls; ++call) {
+        const size_t t = size_t(c + call) % tables.size();
+        const uint64_t id = uint64_t(c) * 100 + call;
+        WireResponse response;
+        if (!client.Call(tables[t], rt::TaskKind::kEncode, id, &response)
+                 .ok() ||
+            response.status != rt::ResponseStatus::kOk ||
+            response.request_id != id ||
+            response.hidden != Oracle().Encode(tables[t]).ToVector()) {
+          ++failures[size_t(c)];
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  return failures;
 }
 
 TEST(ServeServerTest, StartStopLifecycle) {
@@ -133,34 +172,11 @@ TEST(ServeServerTest, MultiReplicaConcurrentClients) {
   ASSERT_TRUE(server.Start().ok());
   EXPECT_EQ(server.num_replicas(), 2);
 
-  constexpr int kClients = 4;
-  constexpr int kCallsPerClient = 3;
-  std::vector<int> failures(kClients, 0);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      ServeClient client;
-      if (!client.Connect("127.0.0.1", server.port()).ok()) {
-        failures[c] = kCallsPerClient;
-        return;
-      }
-      for (int call = 0; call < kCallsPerClient; ++call) {
-        const size_t t = (c + call) % tables.size();
-        WireResponse response;
-        const uint64_t id = uint64_t(c) * 100 + call;
-        if (!client.Call(tables[t], rt::TaskKind::kEncode, id, &response)
-                 .ok() ||
-            response.status != rt::ResponseStatus::kOk ||
-            response.request_id != id ||
-            response.hidden != Oracle().Encode(tables[t]).ToVector()) {
-          ++failures[c];
-        }
-      }
-    });
+  const std::vector<int> failures =
+      ConcurrentCalls(server, tables, /*num_clients=*/4, /*calls=*/3);
+  for (size_t c = 0; c < failures.size(); ++c) {
+    EXPECT_EQ(failures[c], 0) << "client " << c;
   }
-  for (std::thread& t : clients) t.join();
-  for (int c = 0; c < kClients; ++c) EXPECT_EQ(failures[c], 0) << "client " << c;
   EXPECT_EQ(server.inflight(), 0);
   server.Stop();
 }
@@ -347,39 +363,116 @@ TEST(ServeServerTest, ReadinessProbeTracksLifecycle) {
   EXPECT_FALSE(found);
 }
 
-TEST(ServeServerTest, GracefulDrainCompletesInflightRequests) {
+TEST(ServeServerTest, LoneRequestIsDispatchedWithoutAnAgeFlush) {
   const std::vector<core::EncodedTable> tables = SomeTables(1);
   ASSERT_FALSE(tables.empty());
   ServeOptions options = FastOptions();
-  // A long batch age parks the request in the replica queue so Stop() races
-  // a genuinely in-flight request; the pump (still alive during the drain)
-  // flushes it at ~300ms, well inside the drain deadline.
-  options.batch.max_age_ms = 300.0;
-  options.pump_interval_ms = 5;
+  // An age flush would park a lone request for an hour (past the client's
+  // read timeout); an idle replica must run it at once.
+  options.batch.max_age_ms = 3600.0 * 1000.0;
   ServeServer server(Model(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  ServeClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  for (uint64_t id = 1; id <= 3; ++id) {
+    const auto start = std::chrono::steady_clock::now();
+    WireResponse response;
+    ASSERT_TRUE(
+        client.Call(tables[0], rt::TaskKind::kEncode, id, &response).ok());
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    ASSERT_EQ(response.status, rt::ResponseStatus::kOk);
+    EXPECT_EQ(response.hidden, Oracle().Encode(tables[0]).ToVector());
+    EXPECT_LT(ms, 1000.0) << "request " << id;
+  }
+  server.Stop();
+}
+
+TEST(ServeServerTest, BurstOnOneReplicaBatchesWhatQueuedMeanwhile) {
+  obs::EventLog::Get().Reset();
+  obs::EventLog::SetEnabled(true);
+  const std::vector<core::EncodedTable> tables = SomeTables(8);
+  ASSERT_GE(tables.size(), 2u);
+  // One replica with one session thread: while it encodes a batch, the
+  // other connections' requests queue behind it.
+  ServeServer server(Model(), FastOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 8;
+  constexpr int kCallsPerClient = 10;
+  const std::vector<int> failures =
+      ConcurrentCalls(server, tables, kClients, kCallsPerClient);
+  server.Stop();
+  for (size_t c = 0; c < failures.size(); ++c) {
+    EXPECT_EQ(failures[c], 0) << "client " << c;
+  }
+
+  int32_t max_batch = 0;
+  size_t served = 0;
+  for (const obs::WideEvent& e : obs::EventLog::Get().Snapshot()) {
+    if (std::strcmp(e.origin, "serve") != 0) continue;
+    ++served;
+    max_batch = std::max(max_batch, e.batch_size);
+  }
+  EXPECT_EQ(served, size_t(kClients * kCallsPerClient));
+  EXPECT_GT(max_batch, 1);
+  obs::EventLog::SetEnabled(false);
+  obs::EventLog::Get().Reset();
+}
+
+TEST(ServeServerTest, GracefulDrainCompletesInflightRequests) {
+  // A wider, deeper model than Model() keeps one forward in flight long
+  // enough for Stop() to land while the request is being served.
+  core::TurlConfig config = SmallConfig();
+  config.num_layers = 4;
+  config.d_model = 256;
+  config.d_intermediate = 1024;
+  config.num_heads = 4;
+  const core::TurlModel model(config, Ctx().vocab.size(),
+                              Ctx().entity_vocab.size(), /*seed=*/11);
+  const std::vector<core::EncodedTable> tables = SomeTables(1);
+  ASSERT_FALSE(tables.empty());
+  ServeOptions options = FastOptions();
+  // Slow (sanitizer) builds must not reach the hard deadline.
+  options.drain_deadline_ms = 60000;
+  ServeServer server(model, options);
   ASSERT_TRUE(server.Start().ok());
 
   WireResponse response;
   Status call_status = Status::Internal("not run");
   std::thread client_thread([&] {
     ServeClient client;
-    const Status c = client.Connect("127.0.0.1", server.port());
+    const Status c = client.Connect("127.0.0.1", server.port(),
+                                    /*timeout_ms=*/60000);
     if (!c.ok()) {
       call_status = c;
       return;
     }
     call_status = client.Call(tables[0], rt::TaskKind::kEncode, 77, &response);
   });
-  // Let the request reach the replica queue, then stop the server under it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Stop the server under the request once it is admitted and unanswered.
+  bool stopped_inflight = false;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < give_up) {
+    if (server.inflight() > 0) {
+      stopped_inflight = true;
+      break;
+    }
+    std::this_thread::yield();
+  }
   server.Stop();
   client_thread.join();
 
   // The drain completed the admitted request instead of dropping it.
+  EXPECT_TRUE(stopped_inflight);
   ASSERT_TRUE(call_status.ok()) << call_status.ToString();
   ASSERT_EQ(response.status, rt::ResponseStatus::kOk);
   EXPECT_EQ(response.request_id, 77u);
-  EXPECT_EQ(response.hidden, Oracle().Encode(tables[0]).ToVector());
+  EXPECT_EQ(response.hidden, model.Encode(tables[0], /*training=*/false)
+                                 .ToVector());
 }
 
 }  // namespace

@@ -69,8 +69,6 @@ ServeOptions FastOptions() {
   options.port = 0;
   options.num_replicas = 1;
   options.session.num_threads = 1;
-  options.batch.max_age_ms = 1.0;
-  options.pump_interval_ms = 1;
   return options;
 }
 
@@ -207,7 +205,7 @@ TEST(ServeSloTest, DeadlinePressureBurnsCustomTargetWithinOneEvaluation) {
   EXPECT_EQ(response.status, rt::ResponseStatus::kDeadlineExceeded);
   client.Close();
 
-  // One probe evaluation — no pump-loop wait — sees the burn.
+  // One probe evaluation — no watchdog-tick wait — sees the burn.
   std::string detail;
   ASSERT_TRUE(ProbeState("slo.serve_test.deadline", &ok, &detail));
   EXPECT_FALSE(ok) << detail;
